@@ -23,8 +23,9 @@ use std::process::ExitCode;
 use std::sync::Arc;
 
 use bugnet_compress::CodecId;
-use bugnet_core::dump::{CrashDump, DumpFormat, DumpManifest, DumpOptions, ReplayStats};
+use bugnet_core::dump::{CrashDump, DumpManifest, ImageSource, ReplayOptions, ReplayStats};
 use bugnet_core::profile::{profile_dump, ProfileOptions};
+use bugnet_isa::Program;
 use bugnet_sim::{MachineBuilder, RecordingOptions};
 use bugnet_telemetry::{Registry, Snapshot};
 use bugnet_trace::TraceSession;
@@ -74,8 +75,7 @@ bugnet — record, inspect, verify and replay BugNet crash dumps
 USAGE:
     bugnet dump --workload <SPEC> --out <DIR> [--interval <N>] [--dict <N>]
                 [--max-instructions <N>] [--codec <identity|lz>]
-                [--flush-workers <N>] [--shards <N>]
-                [--format <v2|v3|v4|v5>] [--no-embed-image]
+                [--flush-workers <N>] [--shards <N>] [--no-embed-image]
                 [--metrics-json <FILE>] [--trace-out <FILE>]
         Record a workload on the simulated machine and write the retained
         log window to <DIR> as a crash-dump directory. Faults dump
@@ -86,12 +86,11 @@ USAGE:
         frame compressor (default: lz); --flush-workers seals intervals on
         N background threads and --shards sets the store's hand-off lane
         count (recorded content is identical for any worker/shard count).
-        Format v5 (the default) stores each log as columnar,
-        delta-encoded per-field streams and embeds the program images
+        Dumps are written in format v5: each log as columnar,
+        delta-encoded per-field streams, and the program images embedded
         content-addressed, so threads sharing one image store it once;
-        --format v4 writes the row-serialized layout with the same image
-        dedup, --format v3 one image per thread, --format v2 the legacy
-        codec-only format, --no-embed-image omits the images.
+        --no-embed-image omits the images. Older formats (v1-v4) are
+        read by every command below but no longer written.
         --metrics-json turns on run telemetry, writes the metric
         snapshot to <FILE> as JSON and embeds it in the dump manifest
         (readable later with `bugnet stats <DIR>`). Telemetry makes
@@ -128,7 +127,8 @@ USAGE:
         against the recorded spec is reported up front). --at <N> seeks
         straight to checkpoint N and replays from there onward — every
         interval carries its full start-of-interval state, so earlier
-        intervals are never re-executed. --salvage accepts a damaged dump
+        intervals are never re-executed; it combines with every other
+        flag. --salvage accepts a damaged dump
         and replays up to the last fully-intact interval of each thread
         instead of refusing to load. --metrics-json records replay
         telemetry (instructions, interval latency, digest comparisons)
@@ -297,14 +297,6 @@ fn cmd_dump(args: &mut Args) -> Result<(), CliError> {
     };
     let flush_workers = args.option_u64("--flush-workers")?.unwrap_or(0) as usize;
     let store_shards = args.option_u64("--shards")?.unwrap_or(0) as usize;
-    let format = match args.option("--format")? {
-        None => DumpFormat::default(),
-        Some(name) => DumpFormat::parse(&name).ok_or_else(|| {
-            CliError::usage(format!(
-                "--format expects `v2`, `v3`, `v4` or `v5`, got `{name}`"
-            ))
-        })?,
-    };
     let embed_image = !args.flag("--no-embed-image");
     let metrics_json = args.option("--metrics-json")?.map(PathBuf::from);
     let trace_out = args.option("--trace-out")?.map(PathBuf::from);
@@ -318,24 +310,15 @@ fn cmd_dump(args: &mut Args) -> Result<(), CliError> {
     let trace = trace_out
         .as_ref()
         .map(|_| Arc::new(TraceSession::with_capacity("bugnet-record", 1 << 16)));
-    // One struct per concern, mirrored straight into the library API: how
-    // the run records, and how the dump is written.
     let recording = RecordingOptions {
         codec,
         flush_workers,
         store_shards,
         embed_image,
-        // The automatic crash-time dump always writes the current format;
-        // v2/v3/v4 dumps are written explicitly after the run instead.
-        dump_on_crash: (format == DumpFormat::V5).then(|| out.clone()),
+        dump_on_crash: Some(out.clone()),
         dump_io: None,
         telemetry: telemetry.clone(),
         trace: trace.clone(),
-    };
-    let dump_opts = DumpOptions {
-        format,
-        codec: None, // the store already seals with `codec`
-        embed_image: None,
     };
     let mut machine = MachineBuilder::new()
         .bugnet(cfg)
@@ -371,10 +354,9 @@ fn cmd_dump(args: &mut Args) -> Result<(), CliError> {
         // A fault fired mid-run and the machine already dumped, OS-style.
         Some(Ok(manifest)) => manifest.clone(),
         Some(Err(e)) => return Err(CliError::data(format!("automatic crash dump failed: {e}"))),
-        // Clean run (or an explicit legacy format): archive the retained
-        // window.
+        // Clean run: archive the retained window.
         None => machine
-            .write_crash_dump_with(&out, &dump_opts)
+            .write_crash_dump(&out)
             .map_err(|e| CliError::data(e.to_string()))?,
     };
     println!(
@@ -537,22 +519,13 @@ fn cmd_replay(args: &mut Args) -> Result<(), CliError> {
     let metrics_json = args.option("--metrics-json")?.map(PathBuf::from);
     let trace_out = args.option("--trace-out")?.map(PathBuf::from);
     args.finish()?;
-    if at.is_some() && override_spec.is_some() {
-        return Err(CliError::usage(
-            "--at replays from the dump's own images (registry fallback for the \
-             rest) and cannot be combined with --workload",
-        ));
-    }
-    if at.is_some() && metrics_json.is_some() {
-        return Err(CliError::usage(
-            "--at does not record replay telemetry; drop --metrics-json",
-        ));
-    }
-    if at.is_some() && trace_out.is_some() {
-        return Err(CliError::usage(
-            "--at does not record a replay timeline; drop --trace-out",
-        ));
-    }
+    let from = at
+        .map(|n| {
+            u32::try_from(n)
+                .map(CheckpointId)
+                .map_err(|_| CliError::usage(format!("--at {n} overflows u32")))
+        })
+        .transpose()?;
     let telemetry = metrics_json.as_ref().map(|_| Registry::default());
     let stats = telemetry.as_ref().map(ReplayStats::register);
     let trace = trace_out
@@ -578,110 +551,25 @@ fn cmd_replay(args: &mut Args) -> Result<(), CliError> {
     } else {
         CrashDump::load(&dir).map_err(|e| CliError::data(e.to_string()))?
     };
-    let report = if let Some(n) = at {
+    let (images, programs) = replay_programs(&dump, override_spec)?;
+    if let Some(n) = at {
         // Checkpoint-seeking time travel: every FLL header carries the full
         // start-of-interval architectural state, so replay jumps straight
         // to checkpoint `n` — intervals before it are skipped, never
         // re-executed.
-        let from = CheckpointId(
-            u32::try_from(n).map_err(|_| CliError::usage(format!("--at {n} overflows u32")))?,
-        );
-        let programs: Vec<_> = registry::resolve(&dump.manifest.workload)
-            .map(|w| w.threads.iter().map(|t| t.program.clone()).collect())
-            .unwrap_or_default();
         println!("seeking to checkpoint {n}: earlier intervals are skipped, not replayed");
-        dump.replay_from(from, |thread: ThreadId| {
+    }
+    let opts = ReplayOptions {
+        from,
+        images,
+        stats: stats.as_ref(),
+        tracer: tracer.as_mut(),
+    };
+    let report = dump
+        .replay_with(opts, |thread: ThreadId| {
             programs.get(thread.0 as usize).cloned()
         })
-    } else {
-        match override_spec {
-            // Explicit override: replay against exactly the named workload,
-            // ignoring any embedded images.
-            Some(spec) => {
-                if !registry::specs_equivalent(&spec, &dump.manifest.workload) {
-                    // Say so up front: a digest divergence below is then the
-                    // *expected* outcome of the override, not dump corruption.
-                    eprintln!(
-                        "bugnet: warning: dump was recorded from workload \
-                     `{}` but --workload overrides it with `{spec}`; if the \
-                     programs differ, digest divergence below is expected",
-                        dump.manifest.workload
-                    );
-                }
-                let workload = registry::resolve(&spec).map_err(|e| {
-                    CliError::data(format!("cannot rebuild workload `{spec}`: {e}"))
-                })?;
-                let programs: Vec<_> = workload.threads.iter().map(|t| t.program.clone()).collect();
-                println!("replaying against override workload `{spec}`");
-                let program_of = |thread: ThreadId| programs.get(thread.0 as usize).cloned();
-                match tracer.as_mut() {
-                    Some(t) => dump.replay_with_traced(program_of, stats.as_ref(), t),
-                    None => match &stats {
-                        Some(s) => dump.replay_with_observed(program_of, s),
-                        None => dump.replay_with(program_of),
-                    },
-                }
-            }
-            // Self-contained dump: every program comes from the checksummed
-            // dump itself, no workload registry involved.
-            None if dump.is_self_contained() => {
-                println!("replaying from embedded program images (self-contained dump)");
-                match tracer.as_mut() {
-                    Some(t) => dump.replay_traced(|_| None, stats.as_ref(), t),
-                    None => match &stats {
-                        Some(s) => dump.replay_observed(|_| None, s),
-                        None => dump.replay(|_| None),
-                    },
-                }
-            }
-            // Not (fully) self-contained: v1/v2 dump, or image embedding was
-            // off for some threads. Rebuild the missing programs from the
-            // recorded workload spec; embedded images still take precedence
-            // per thread inside `replay`.
-            None => {
-                let spec = dump.manifest.workload.clone();
-                let embedded = dump.manifest.embedded_images();
-                match registry::resolve(&spec) {
-                    Ok(workload) => {
-                        let programs: Vec<_> =
-                            workload.threads.iter().map(|t| t.program.clone()).collect();
-                        println!("replaying from workload spec `{spec}` (registry fallback)");
-                        let fallback = |thread: ThreadId| programs.get(thread.0 as usize).cloned();
-                        match tracer.as_mut() {
-                            Some(t) => dump.replay_traced(fallback, stats.as_ref(), t),
-                            None => match &stats {
-                                Some(s) => dump.replay_observed(fallback, s),
-                                None => dump.replay(fallback),
-                            },
-                        }
-                    }
-                    // The spec is unresolvable but some threads do carry their
-                    // image: replay those and report the rest as unreplayable
-                    // rather than refusing the whole dump.
-                    Err(e) if embedded > 0 => {
-                        eprintln!(
-                            "bugnet: warning: workload `{spec}` cannot be rebuilt ({e}); \
-                         replaying the {embedded} thread(s) with embedded images only"
-                        );
-                        match tracer.as_mut() {
-                            Some(t) => dump.replay_traced(|_| None, stats.as_ref(), t),
-                            None => match &stats {
-                                Some(s) => dump.replay_observed(|_| None, s),
-                                None => dump.replay(|_| None),
-                            },
-                        }
-                    }
-                    Err(e) => {
-                        return Err(CliError::data(format!(
-                            "dump embeds no program images and workload `{spec}` \
-                         cannot be rebuilt: {e}; pass --workload <SPEC> to override"
-                        )))
-                    }
-                }
-            }
-        }
-    }
-    .map_err(|e| CliError::data(format!("replay failed: {e}")))?;
+        .map_err(|e| CliError::data(format!("replay failed: {e}")))?;
     if report.intervals.is_empty() && report.unreplayable_threads.is_empty() {
         return Err(CliError::data(match at {
             Some(n) => format!("no retained interval at or after checkpoint {n}"),
@@ -706,14 +594,77 @@ fn cmd_replay(args: &mut Args) -> Result<(), CliError> {
     }
 }
 
-fn cmd_bisect(args: &mut Args) -> Result<(), CliError> {
-    let dir = dump_dir_arg(args)?;
-    let override_spec = args.option("--workload")?;
-    args.finish()?;
-    let dump = CrashDump::load(&dir).map_err(|e| CliError::data(e.to_string()))?;
-    // Same program resolution as replay: embedded images first (inside
-    // `bisect`), then the workload registry for threads without one.
-    let programs: Vec<_> = match &override_spec {
+/// Decides where `bugnet replay` takes each thread's program from and says
+/// so: an explicit `--workload` override replaces every image; otherwise
+/// embedded images come first and the recorded workload spec, rebuilt from
+/// the registry, supplies the threads without one.
+fn replay_programs(
+    dump: &CrashDump,
+    override_spec: Option<String>,
+) -> Result<(ImageSource, Vec<Arc<Program>>), CliError> {
+    let programs_of = |w: bugnet_workloads::Workload| -> Vec<_> {
+        w.threads.iter().map(|t| t.program.clone()).collect()
+    };
+    if let Some(spec) = override_spec {
+        if !registry::specs_equivalent(&spec, &dump.manifest.workload) {
+            // Say so up front: a digest divergence below is then the
+            // *expected* outcome of the override, not dump corruption.
+            eprintln!(
+                "bugnet: warning: dump was recorded from workload `{}` but \
+                 --workload overrides it with `{spec}`; if the programs differ, \
+                 digest divergence below is expected",
+                dump.manifest.workload
+            );
+        }
+        let workload = registry::resolve(&spec)
+            .map_err(|e| CliError::data(format!("cannot rebuild workload `{spec}`: {e}")))?;
+        println!("replaying against override workload `{spec}`");
+        return Ok((ImageSource::Override, programs_of(workload)));
+    }
+    if dump.is_self_contained() {
+        // Every program comes from the checksummed dump itself, no
+        // workload registry involved.
+        println!("replaying from embedded program images (self-contained dump)");
+        return Ok((ImageSource::EmbeddedFirst, Vec::new()));
+    }
+    // Not (fully) self-contained: v1/v2 dump, or image embedding was off
+    // for some threads. Rebuild the missing programs from the recorded
+    // workload spec; embedded images still take precedence per thread.
+    let spec = &dump.manifest.workload;
+    let embedded = dump.manifest.embedded_images();
+    match registry::resolve(spec) {
+        Ok(workload) => {
+            println!("replaying from workload spec `{spec}` (registry fallback)");
+            Ok((ImageSource::EmbeddedFirst, programs_of(workload)))
+        }
+        // The spec is unresolvable but some threads do carry their image:
+        // replay those and report the rest as unreplayable rather than
+        // refusing the whole dump.
+        Err(e) if embedded > 0 => {
+            eprintln!(
+                "bugnet: warning: workload `{spec}` cannot be rebuilt ({e}); \
+                 replaying the {embedded} thread(s) with embedded images only"
+            );
+            Ok((ImageSource::EmbeddedFirst, Vec::new()))
+        }
+        Err(e) => Err(CliError::data(format!(
+            "dump embeds no program images and workload `{spec}` cannot be \
+             rebuilt: {e}; pass --workload <SPEC> to override"
+        ))),
+    }
+}
+
+/// The fallback programs of `bisect` and `profile`, which run embedded
+/// images first: the `--workload` override when given (warning when it
+/// differs from the recorded spec), else the recorded workload spec rebuilt
+/// from the registry, else none.
+fn fallback_programs(
+    dump: &CrashDump,
+    override_spec: Option<&str>,
+) -> Result<Vec<Arc<Program>>, CliError> {
+    let programs_of =
+        |w: bugnet_workloads::Workload| w.threads.iter().map(|t| t.program.clone()).collect();
+    match override_spec {
         Some(spec) => {
             if !registry::specs_equivalent(spec, &dump.manifest.workload) {
                 eprintln!(
@@ -723,16 +674,23 @@ fn cmd_bisect(args: &mut Args) -> Result<(), CliError> {
                 );
             }
             registry::resolve(spec)
-                .map_err(|e| CliError::data(format!("cannot rebuild workload `{spec}`: {e}")))?
-                .threads
-                .iter()
-                .map(|t| t.program.clone())
-                .collect()
+                .map(programs_of)
+                .map_err(|e| CliError::data(format!("cannot rebuild workload `{spec}`: {e}")))
         }
-        None => registry::resolve(&dump.manifest.workload)
-            .map(|w| w.threads.iter().map(|t| t.program.clone()).collect())
-            .unwrap_or_default(),
-    };
+        None => Ok(registry::resolve(&dump.manifest.workload)
+            .map(programs_of)
+            .unwrap_or_default()),
+    }
+}
+
+fn cmd_bisect(args: &mut Args) -> Result<(), CliError> {
+    let dir = dump_dir_arg(args)?;
+    let override_spec = args.option("--workload")?;
+    args.finish()?;
+    let dump = CrashDump::load(&dir).map_err(|e| CliError::data(e.to_string()))?;
+    // Embedded images first (inside `bisect`), then these for threads
+    // without one.
+    let programs = fallback_programs(&dump, override_spec.as_deref())?;
     let report = dump
         .bisect(|thread| programs.get(thread.0 as usize).cloned())
         .map_err(|e| CliError::data(format!("bisect failed: {e}")))?;
@@ -755,28 +713,9 @@ fn cmd_profile(args: &mut Args) -> Result<(), CliError> {
     let trace_out = args.option("--trace-out")?.map(PathBuf::from);
     args.finish()?;
     let dump = CrashDump::load(&dir).map_err(|e| CliError::data(e.to_string()))?;
-    // Program resolution mirrors replay: embedded images first (inside
-    // `profile_dump`), the workload registry for threads without one.
-    let programs: Vec<_> = match &override_spec {
-        Some(spec) => {
-            if !registry::specs_equivalent(spec, &dump.manifest.workload) {
-                eprintln!(
-                    "bugnet: warning: dump was recorded from workload `{}` but \
-                     --workload overrides the fallback with `{spec}`",
-                    dump.manifest.workload
-                );
-            }
-            registry::resolve(spec)
-                .map_err(|e| CliError::data(format!("cannot rebuild workload `{spec}`: {e}")))?
-                .threads
-                .iter()
-                .map(|t| t.program.clone())
-                .collect()
-        }
-        None => registry::resolve(&dump.manifest.workload)
-            .map(|w| w.threads.iter().map(|t| t.program.clone()).collect())
-            .unwrap_or_default(),
-    };
+    // Embedded images first (inside `profile_dump`), then these for threads
+    // without one.
+    let programs = fallback_programs(&dump, override_spec.as_deref())?;
     let options = ProfileOptions { sample_every };
     let profile = profile_dump(
         &dump,

@@ -3,10 +3,7 @@
 
 use std::path::Path;
 
-use bugnet_compress::streams_info;
-use bugnet_core::columnar::{
-    encode_fll_columnar, encode_mrl_columnar, fll_stream_name, mrl_stream_name,
-};
+use bugnet_core::columnar::{fll_stream_name, mrl_stream_name};
 use bugnet_core::dump::{
     BisectReport, CrashDump, DumpManifest, DumpReplayReport, SalvageReport, DUMP_VERSION_V5,
 };
@@ -54,18 +51,16 @@ pub fn print_info(dir: &Path, dump: &CrashDump) {
         m.backend_ratio()
     );
     if m.version >= DUMP_VERSION_V5 {
-        // Re-encode the decoded logs exactly as the sealer did — sealing is
-        // deterministic, so these are the per-stream sizes on disk.
+        // The per-stream headers the loader read off every v5 frame.
         let mut fll = [(0u64, 0u64); 5];
         let mut mrl = [(0u64, 0u64); 5];
         for cp in dump.threads.iter().flat_map(|t| t.checkpoints.iter()) {
-            let fll_blob = encode_fll_columnar(m.codec, &cp.fll);
-            let mrl_blob = encode_mrl_columnar(m.codec, &cp.mrl);
-            for (acc, blob) in [(&mut fll, fll_blob), (&mut mrl, mrl_blob)] {
-                for info in streams_info(&blob).expect("just-encoded blob parses") {
-                    let (raw, stored) = &mut acc[info.id as usize];
-                    *raw += u64::from(info.raw_len);
-                    *stored += u64::from(info.stored_len);
+            for (acc, streams) in [(&mut fll, &cp.fll_streams), (&mut mrl, &cp.mrl_streams)] {
+                for info in streams {
+                    if let Some((raw, stored)) = acc.get_mut(usize::from(info.id)) {
+                        *raw += u64::from(info.raw_len);
+                        *stored += u64::from(info.stored_len);
+                    }
                 }
             }
         }

@@ -219,8 +219,22 @@ pub fn codec(id: CodecId) -> &'static dyn Codec {
     }
 }
 
-/// FNV-1a hash, the checksum used by the container format (the same function
-/// the crash-dump format uses for its frames).
+/// The checksum of the container format and of every crash-dump file: an
+/// FNV-1a-style byte fold (XOR each byte in, then multiply) with the
+/// FNV-1a-64 offset basis `0xcbf2_9ce4_8422_2325` but the multiplier
+/// `0x1000_0000_01b3` (2^44 + 0x1b3), not the standard FNV-64 prime
+/// `0x100_0000_01b3` (2^40 + 0x1b3). Its values therefore differ from
+/// standard FNV-1a-64 for every non-empty input; every dump, container and
+/// committed fixture depends on this exact function, so it must not change.
+///
+/// # Examples
+///
+/// ```
+/// use bugnet_compress::fnv1a;
+///
+/// assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
+/// assert_eq!(fnv1a(b"a"), 0xaf74_d84c_8601_ec8c);
+/// ```
 pub fn fnv1a(bytes: &[u8]) -> u64 {
     const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
     const FNV_PRIME: u64 = 0x1000_0000_01b3;
@@ -261,10 +275,16 @@ mod tests {
 
     #[test]
     fn fnv1a_is_order_sensitive() {
-        // Same constants as `bugnet_core::digest::fnv1a`, so the container
-        // checksum matches the one used by the crash-dump frames.
         assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
         assert_ne!(fnv1a(b"ab"), fnv1a(b"ba"));
         assert_ne!(fnv1a(b"a"), fnv1a(b"a\0"));
+    }
+
+    #[test]
+    fn fnv1a_known_answers_pin_the_multiplier() {
+        // 0x1000_0000_01b3, not FNV-1a-64's 0x100_0000_01b3: standard
+        // FNV-1a-64 of "a" is 0xaf63_dc4c_8601_ec8c.
+        assert_eq!(fnv1a(b"a"), 0xaf74_d84c_8601_ec8c);
+        assert_ne!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
     }
 }

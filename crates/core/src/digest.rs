@@ -9,19 +9,14 @@
 use bugnet_cpu::ArchState;
 use bugnet_types::{Addr, Word};
 
+/// The checksum of the on-disk crash-dump format: the same function the
+/// codec containers use, re-exported so there is one copy of it.
+pub use bugnet_compress::fnv1a;
+
+/// Offset basis and multiplier of [`ExecutionDigest`]'s fold; the same
+/// constants as [`fnv1a`] (see its documentation for the multiplier).
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x1000_0000_01b3;
-
-/// FNV-1a hash of a byte slice, the checksum used by the on-disk crash-dump
-/// format (and by the golden tests pinning the log byte formats).
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash = FNV_OFFSET;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(FNV_PRIME);
-    }
-    hash
-}
 
 /// Order-sensitive digest of one checkpoint interval's execution.
 ///

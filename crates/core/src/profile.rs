@@ -25,7 +25,7 @@ use bugnet_isa::Program;
 use bugnet_trace::{TraceEvent, TraceSession};
 use bugnet_types::{Addr, CheckpointId, ThreadId};
 
-use crate::dump::CrashDump;
+use crate::dump::{CrashDump, ImageSource};
 use crate::replayer::{ReplayError, Replayer};
 
 /// Nanoseconds of virtual trace time per replayed instruction: one
@@ -150,7 +150,7 @@ pub fn profile_dump(
     let mut tick = 0u64;
 
     for t in &dump.threads {
-        let Some(program) = t.image.clone().or_else(|| fallback(t.thread)) else {
+        let Some(program) = t.program(ImageSource::EmbeddedFirst, &mut fallback) else {
             profile.unreplayable_threads.push(t.thread);
             continue;
         };

@@ -23,6 +23,8 @@ use bugnet::sim::{Machine, MachineBuilder};
 use bugnet::types::BugNetConfig;
 use bugnet::workloads::registry;
 
+mod common;
+
 fn temp_dir(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("bugnet-cs-{name}-{}", std::process::id()));
     let _ = fs::remove_dir_all(&dir);
@@ -83,9 +85,11 @@ fn truncation_at_any_offset_salvages_exactly_the_intact_prefix() {
         fs::write(&fll_path, &pristine[..off]).unwrap();
         let expect = ends.iter().filter(|&&e| e <= off).count() as u32;
 
-        // The strict loader must reject any truncation with a typed error.
+        // The strict loader must reject any truncation with a typed error,
+        // the same one salvage reports first.
+        let strict = common::load_agreeing_with_salvage(&dir);
         if expect < total {
-            CrashDump::load(&dir).expect_err("strict load rejects truncation");
+            strict.expect_err("strict load rejects truncation");
         }
 
         let salvaged = CrashDump::load_salvage(&dir).expect("manifest is intact");

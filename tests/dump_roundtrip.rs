@@ -7,11 +7,14 @@ use std::fs;
 use std::path::{Path, PathBuf};
 
 use bugnet::core::dump::{
-    verify_dump, CrashDump, DumpError, DumpFormat, DumpOptions, DUMP_VERSION_V5,
+    verify_dump, CrashDump, DumpError, ReplayOptions, DUMP_VERSION_V1, DUMP_VERSION_V4,
+    DUMP_VERSION_V5,
 };
 use bugnet::sim::{MachineBuilder, RecordingOptions};
 use bugnet::types::{BugNetConfig, CheckpointId, SplitMix64, ThreadId};
 use bugnet::workloads::registry;
+
+mod common;
 
 fn temp_dir(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("bugnet-it-{name}-{}", std::process::id()));
@@ -38,12 +41,12 @@ fn record_dump(spec: &str, dir: &Path, interval: u64) {
 
 /// Loads, verifies and replays a dump; returns whether everything checked
 /// out. Any [`DumpError`] is fine for the corruption tests — what is *not*
-/// fine is a panic, or a clean load followed by a divergent replay going
-/// unnoticed.
+/// fine is a panic, a strict load disagreeing with salvage, or a clean load
+/// followed by a divergent replay going unnoticed.
 fn load_verify_replay(spec: &str, dir: &Path) -> Result<bool, DumpError> {
-    let report = verify_dump(dir)?;
+    let dump = common::load_agreeing_with_salvage(dir)?;
+    let report = dump.verify()?;
     assert!(report.checkpoints > 0);
-    let dump = CrashDump::load(dir)?;
     let workload = registry::resolve(&dump.manifest.workload)
         .or_else(|_| registry::resolve(spec))
         .expect("workload resolvable");
@@ -115,87 +118,22 @@ fn multithreaded_dump_round_trips() {
     fs::remove_dir_all(&dir).unwrap();
 }
 
-/// Builds a machine, runs the workload, and returns it (with a flushed log
-/// store) for direct store-level dump experiments.
-fn recorded_machine(spec: &str, interval: u64) -> bugnet::sim::Machine {
-    let workload = registry::resolve(spec).expect("spec resolves");
-    let mut machine = MachineBuilder::new()
-        .bugnet(BugNetConfig::default().with_checkpoint_interval(interval))
-        .workload_spec(spec)
-        .build_with_workload(&workload);
-    machine.run_to_completion();
-    machine
+/// The committed golden fixture of format `version` (see
+/// `tests/golden_dump.rs`): the same `spec:gzip:8000:1` recording in every
+/// format.
+fn fixture(version: u32) -> PathBuf {
+    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join(format!("tests/fixtures/golden-v{version}"))
 }
 
 #[test]
 fn legacy_v1_dumps_still_load_and_replay() {
-    use bugnet::core::dump::{write_dump_v1, DumpMeta, DUMP_VERSION_V1};
-    use bugnet::types::Timestamp;
-    let spec = "spec:gzip:30000:1";
-    let dir = temp_dir("v1-replay");
-    let machine = recorded_machine(spec, 5_000);
-    let meta = DumpMeta {
-        workload: spec.to_string(),
-        config: machine.bugnet_config().unwrap().clone(),
-        created: Timestamp(0),
-        fault: None,
-        evicted_checkpoints: 0,
-        telemetry: None,
-    };
-    let written = write_dump_v1(&dir, &meta, machine.log_store().unwrap()).unwrap();
-    assert_eq!(written.version, DUMP_VERSION_V1);
+    let dir = fixture(DUMP_VERSION_V1);
     let dump = CrashDump::load(&dir).expect("v1 dump loads");
     assert_eq!(dump.manifest.version, DUMP_VERSION_V1);
     assert!(
-        load_verify_replay(spec, &dir).expect("clean v1 dump"),
+        load_verify_replay(&dump.manifest.workload, &dir).expect("clean v1 dump"),
         "v1 replay must reproduce the recorded execution"
     );
-    fs::remove_dir_all(&dir).unwrap();
-}
-
-#[test]
-fn v2_dumps_are_strictly_smaller_than_v1_on_the_acceptance_workloads() {
-    use bugnet::core::dump::{write_dump_v1, DumpMeta};
-    use bugnet::types::Timestamp;
-    for (spec, interval) in [
-        ("spec:gzip:30000:1", 5_000),
-        ("mt:racy_counter:2:400", 50_000),
-    ] {
-        let machine = recorded_machine(spec, interval);
-        let meta = DumpMeta {
-            workload: spec.to_string(),
-            config: machine.bugnet_config().unwrap().clone(),
-            created: Timestamp(0),
-            fault: None,
-            evicted_checkpoints: 0,
-            telemetry: None,
-        };
-        let dir_v1 = temp_dir(&format!("size-v1-{interval}"));
-        let dir_v2 = temp_dir(&format!("size-v2-{interval}"));
-        write_dump_v1(&dir_v1, &meta, machine.log_store().unwrap()).unwrap();
-        machine
-            .write_crash_dump_with(
-                &dir_v2,
-                &DumpOptions {
-                    format: DumpFormat::V2,
-                    ..DumpOptions::default()
-                },
-            )
-            .unwrap();
-        let total = |dir: &Path| -> u64 {
-            fs::read_dir(dir)
-                .unwrap()
-                .map(|e| e.unwrap().metadata().unwrap().len())
-                .sum()
-        };
-        let (v1, v2) = (total(&dir_v1), total(&dir_v2));
-        assert!(
-            v2 < v1,
-            "{spec}: v2 dump ({v2} bytes) must be strictly smaller than v1 ({v1})"
-        );
-        fs::remove_dir_all(&dir_v1).unwrap();
-        fs::remove_dir_all(&dir_v2).unwrap();
-    }
 }
 
 #[test]
@@ -322,50 +260,53 @@ fn uninstrumented_dumps_embed_no_telemetry() {
 
 #[test]
 fn v5_dumps_replay_digest_identical_to_v4_and_are_smaller() {
-    // The columnar transform is a wire-layout change only: the decoded
-    // logs, the recorded digests and the replayed digests must all be
-    // byte-identical between v4 and v5 dumps of the same run — and on the
-    // acceptance workload the columnar layout must actually shrink the dump.
-    let spec = "spec:gzip:30000:1";
-    let machine = recorded_machine(spec, 5_000);
-    let dir_v4 = temp_dir("v4-vs-v5-v4");
-    let dir_v5 = temp_dir("v4-vs-v5-v5");
-    for (dir, format) in [(&dir_v4, DumpFormat::V4), (&dir_v5, DumpFormat::V5)] {
-        machine
-            .write_crash_dump_with(
-                dir,
-                &DumpOptions {
-                    format,
-                    ..DumpOptions::default()
-                },
-            )
-            .unwrap();
+    // Every format change since v1 is a wire-layout change only: the
+    // committed fixtures of one recording decode to the same logs and
+    // replay to identical per-interval reports in every format — and the
+    // columnar layout actually shrinks the logs.
+    let load = |version| CrashDump::load(&fixture(version)).expect("fixture loads");
+    let v5 = load(DUMP_VERSION_V5);
+    let workload = registry::resolve(&v5.manifest.workload).expect("spec resolves");
+    let programs: Vec<_> = workload.threads.iter().map(|t| t.program.clone()).collect();
+    let replay = |dump: &CrashDump| {
+        dump.replay(|t: ThreadId| programs.get(t.0 as usize).cloned())
+            .expect("fixture replays")
+    };
+    let reference = replay(&v5);
+    assert!(reference.all_match(), "{:?}", reference.divergences());
+    for version in DUMP_VERSION_V1..DUMP_VERSION_V5 {
+        let dump = load(version);
+        assert_eq!(dump.threads.len(), v5.threads.len());
+        for (old, new) in dump.threads.iter().zip(&v5.threads) {
+            assert_eq!(old.checkpoints.len(), new.checkpoints.len());
+            for (a, b) in old.checkpoints.iter().zip(&new.checkpoints) {
+                assert_eq!(
+                    (&a.fll, &a.mrl, a.digest),
+                    (&b.fll, &b.mrl, b.digest),
+                    "v{version}"
+                );
+            }
+        }
+        assert_eq!(
+            replay(&dump),
+            reference,
+            "v{version} per-interval replay reports"
+        );
     }
-    let v4 = CrashDump::load(&dir_v4).expect("v4 loads");
-    let v5 = CrashDump::load(&dir_v5).expect("v5 loads");
-    assert_eq!(v5.manifest.version, DUMP_VERSION_V5);
-    assert_eq!(v4.threads.len(), v5.threads.len());
-    for (t4, t5) in v4.threads.iter().zip(&v5.threads) {
-        assert_eq!(t4.checkpoints, t5.checkpoints, "decoded logs must match");
-    }
-    let r4 = v4.replay(|_| None).expect("v4 replays");
-    let r5 = v5.replay(|_| None).expect("v5 replays");
-    assert!(r4.all_match() && r5.all_match());
-    assert_eq!(r4, r5, "per-interval replay reports must be identical");
 
-    let total = |dir: &Path| -> u64 {
-        fs::read_dir(dir)
+    let log_bytes = |version| -> u64 {
+        fs::read_dir(fixture(version))
             .unwrap()
-            .map(|e| e.unwrap().metadata().unwrap().len())
+            .map(|e| e.unwrap())
+            .filter(|e| e.file_name().to_string_lossy().starts_with("thread-"))
+            .map(|e| e.metadata().unwrap().len())
             .sum()
     };
-    let (b4, b5) = (total(&dir_v4), total(&dir_v5));
+    let (b4, b5) = (log_bytes(DUMP_VERSION_V4), log_bytes(DUMP_VERSION_V5));
     assert!(
         b5 < b4,
-        "v5 dump ({b5} bytes) must be smaller than v4 ({b4})"
+        "v5 log files ({b5} bytes) must be smaller than v4's ({b4})"
     );
-    fs::remove_dir_all(&dir_v4).unwrap();
-    fs::remove_dir_all(&dir_v5).unwrap();
 }
 
 #[test]
@@ -378,7 +319,13 @@ fn replay_from_seeks_to_the_checkpoint_without_replaying_earlier_intervals() {
     assert!(n >= 4, "need several checkpoints, got {n}");
     let from = dump.threads[0].checkpoints[n / 2].fll.header.checkpoint;
 
-    let report = dump.replay_from(from, |_| None).expect("seek replays");
+    let seek = |from| ReplayOptions {
+        from: Some(from),
+        ..ReplayOptions::default()
+    };
+    let report = dump
+        .replay_with(seek(from), |_| None)
+        .expect("seek replays");
     assert!(report.all_match(), "{:?}", report.divergences());
     // Earlier intervals are skipped outright — they never appear in the
     // report, and only the tail from `from` onward was replayed.
@@ -389,7 +336,7 @@ fn replay_from_seeks_to_the_checkpoint_without_replaying_earlier_intervals() {
     // Seeking past the retained window replays nothing.
     let last = dump.threads[0].checkpoints[n - 1].fll.header.checkpoint;
     let past = dump
-        .replay_from(CheckpointId(last.0 + 1), |_| None)
+        .replay_with(seek(CheckpointId(last.0 + 1)), |_| None)
         .expect("empty seek");
     assert!(past.intervals.is_empty());
     fs::remove_dir_all(&dir).unwrap();
@@ -497,7 +444,8 @@ fn image_section_corruptions_yield_typed_errors_and_never_wrong_replays() {
         let mut corrupt = original.clone();
         corrupt[(bit / 8) as usize] ^= 1 << (bit % 8);
         fs::write(&image, &corrupt).unwrap();
-        let err = CrashDump::load(&dir).expect_err("image flip must be detected at load");
+        let err = common::load_agreeing_with_salvage(&dir)
+            .expect_err("image flip must be detected at load");
         assert!(
             matches!(
                 err,
@@ -516,7 +464,7 @@ fn image_section_corruptions_yield_typed_errors_and_never_wrong_replays() {
         let cut = rng.next_range(original.len() as u64) as usize;
         fs::write(&image, &original[..cut]).unwrap();
         assert!(
-            CrashDump::load(&dir).is_err(),
+            common::load_agreeing_with_salvage(&dir).is_err(),
             "truncating the image to {cut} bytes must be detected"
         );
     }
